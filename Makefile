@@ -41,11 +41,13 @@ allocguard:
 # every torn-batch byte offset, a single append at both IO stages, a
 # legacy-layout migration mid-checkpoint, and a randomized workload at
 # random hook steps — and prove recovery loses no committed transaction
-# (durable_crash_test.go, durable_ckpt_test.go). The WAL-level torn-tail
-# and rollback sweeps ride along from internal/wal.
+# (durable_crash_test.go, durable_ckpt_test.go). Every statement kind
+# whose log append fails must leave no visible, notified, or replicated
+# trace (FailedAppendLeavesNoTrace). The WAL-level torn-tail, rollback,
+# and append-error-counting sweeps ride along from internal/wal.
 crash:
-	$(GO) test -race -count=1 -run 'CheckpointCrash|CheckpointFault|GroupCrash|GroupCommitCrash|SingleAppendFailure|LegacyMigrationCrash|RandomizedCrashCheckpoints' -v .
-	$(GO) test -race -count=1 -run 'TornTail|AppendRollback|AppendBatchTorn|CorruptChecksum' ./internal/wal
+	$(GO) test -race -count=1 -run 'CheckpointCrash|CheckpointFault|GroupCrash|GroupCommitCrash|SingleAppendFailure|FailedAppendLeavesNoTrace|LegacyMigrationCrash|RandomizedCrashCheckpoints' -v .
+	$(GO) test -race -count=1 -run 'TornTail|AppendRollback|AppendBatchTorn|AppendBatchHook|AppendErrorsCounted|CorruptChecksum' ./internal/wal
 
 # End-to-end flight-recorder check: boot mviewd with -trace-ring,
 # drive a commit over HTTP, and assert /v1/debug/traces captured a

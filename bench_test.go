@@ -1036,7 +1036,11 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, mode := range []string{"serial", "group"} {
 			b.Run(fmt.Sprintf("writers=%d/%s", writers, mode), func(b *testing.B) {
-				d, err := OpenDurable(b.TempDir())
+				var opts []Option
+				if mode == "group" {
+					opts = append(opts, WithGroupCommit(0, 2*time.Millisecond))
+				}
+				d, err := OpenDurable(b.TempDir(), opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1049,9 +1053,6 @@ func BenchmarkGroupCommit(b *testing.B) {
 				}
 				if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 1000000000"}, WithFilter()); err != nil {
 					b.Fatal(err)
-				}
-				if mode == "group" {
-					d.EnableGroupCommit(0, 2*time.Millisecond)
 				}
 				fsync0 := snapshotCounter(reg, "mview_wal_fsyncs_total")
 				var next atomic.Int64
@@ -1362,7 +1363,7 @@ func benchReplWait(b *testing.B, f *DB, lsn uint64) {
 // replication server.
 func benchReplLeader(b *testing.B) (*DB, *repl.Server) {
 	b.Helper()
-	d, err := OpenDurable(b.TempDir())
+	d, err := OpenDurable(b.TempDir(), WithGroupCommit(0, 2*time.Millisecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1373,7 +1374,6 @@ func benchReplLeader(b *testing.B) (*DB, *repl.Server) {
 	if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 500"}); err != nil {
 		b.Fatal(err)
 	}
-	d.EnableGroupCommit(0, 2*time.Millisecond)
 	srv, err := d.ReplicationServer()
 	if err != nil {
 		b.Fatal(err)

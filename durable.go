@@ -4,9 +4,10 @@ package mview
 // checkpoints.
 //
 // OpenDurable gives the engine crash recovery: every DDL statement and
-// transaction is appended to an fsynced, checksummed log as part of a
-// successful commit, and Checkpoint persists the database state so the
-// covered log prefix can be dropped. Reopening the directory loads the
+// transaction is appended to an fsynced, checksummed log before it
+// becomes visible (the engine's log sink runs inside the commit, after
+// validation and before the snapshot publish), and Checkpoint persists
+// the database state so the covered log prefix can be dropped. Reopening the directory loads the
 // latest checkpoint and replays the log records past it. Views
 // re-materialize from the restored base relations, so a reopened
 // database is always internally consistent.
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	"mview/internal/db"
+	"mview/internal/obs"
 	"mview/internal/wal"
 )
 
@@ -371,6 +373,7 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	}
 	d.wal = log
 	d.dir = dir
+	d.engine().SetLog(d.logPayloadBatch)
 
 	if migrate {
 		// One-time layout migration: checkpoint now (every shard is
@@ -480,7 +483,7 @@ func (d *DB) applyStmt(st walStmt) error {
 		if err != nil {
 			return err
 		}
-		return d.createJoinViewCore(st.Name, st.Rels, opts)
+		return d.createJoinViewCore(nil, st.Name, st.Rels, opts)
 	case "dropview":
 		return d.engine().DropView(st.Name)
 	case "policy":
@@ -503,7 +506,8 @@ func (d *DB) applyStmt(st walStmt) error {
 		for i, o := range st.Ops {
 			ops[i] = Op{del: o.Del, rel: o.Rel, vals: o.Vals}
 		}
-		_, err := d.execCore(ops)
+		tx := buildTx(ops)
+		_, err := d.engine().Execute(&tx)
 		return err
 	default:
 		return fmt.Errorf("mview: unknown logged statement kind %q", st.Kind)
@@ -522,11 +526,6 @@ func optionsByName(names []string) ([]ViewOption, error) {
 	return opts, nil
 }
 
-// logStmt appends a statement to the commit log (no-op for in-memory
-// databases). Called after the statement has been applied
-// successfully; the append is fsynced before the public method
-// returns, so an acknowledged commit can only be lost if the process
-// dies between the in-memory apply and the append.
 // encodeStmt gob-encodes a statement into a commit-log payload.
 func encodeStmt(st walStmt) ([]byte, error) {
 	var buf bytes.Buffer
@@ -536,22 +535,11 @@ func encodeStmt(st walStmt) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func (d *DB) logStmt(st walStmt) error {
-	if d.wal == nil {
-		return nil
-	}
-	p, err := encodeStmt(st)
-	if err != nil {
-		return err
-	}
-	_, err = d.wal.Append(walKindStmt, p)
-	return err
-}
-
-// logPayloadBatch appends one already-encoded statement per member of
-// a commit group, framed at consecutive LSNs and flushed with a single
-// fsync. Recovery needs no group framing: each record replays as its
-// own transaction, in the order the group applied them.
+// logPayloadBatch is the engine's log sink: it appends one
+// already-encoded statement per payload — a commit group's members or
+// a single DDL statement — framed at consecutive LSNs and flushed with
+// a single fsync. Recovery needs no group framing: each record replays
+// as its own statement, in the order the engine applied them.
 func (d *DB) logPayloadBatch(payloads [][]byte) error {
 	entries := make([]wal.Entry, len(payloads))
 	for i, p := range payloads {
@@ -574,8 +562,9 @@ func (d *DB) logPayloadBatch(payloads [][]byte) error {
 // cleanup path.
 var checkpointHook func(step string) error
 
-// errSimulatedCrash marks a fault-injection abort (see checkpointHook).
-var errSimulatedCrash = errors.New("mview: simulated crash")
+// errSimulatedCrash marks a fault-injection abort (see checkpointHook);
+// it is the commit log's, so one sentinel kills either layer.
+var errSimulatedCrash = wal.ErrSimulatedCrash
 
 func hookStep(step string) error {
 	if checkpointHook == nil {
@@ -622,8 +611,8 @@ type CheckpointStats struct {
 // LastCheckpointStats reports the most recent successful Checkpoint on
 // this handle (zero value before the first one).
 func (d *DB) LastCheckpointStats() CheckpointStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
 	return d.ckptStats
 }
 
@@ -670,30 +659,28 @@ func (d *DB) Checkpoint() error {
 	// in flight), the WAL seals its active segment so the covered
 	// prefix becomes droppable, and the dirty bitmaps reset to start
 	// the next interval.
-	d.gmu.Lock()
-	d.mu.Lock()
-	if d.wal == nil {
-		d.mu.Unlock()
-		d.gmu.Unlock()
-		return fmt.Errorf("mview: Checkpoint on a closed database")
-	}
-	snap := d.engine().CurrentSnapshot()
-	lsn := d.wal.LastLSN()
-	rotErr := d.wal.Rotate()
+	var snap *db.Snapshot
+	var lsn uint64
 	var dirty map[string][]bool
-	var prev *manifest
-	if rotErr == nil {
-		dirty = d.engine().TakeCheckpointDirty()
-		prev = d.man
+	var err error
+	d.engine().Fence(func() {
+		if d.closed {
+			err = fmt.Errorf("mview: Checkpoint on a closed database")
+			return
+		}
+		snap = d.engine().CurrentSnapshot()
+		lsn = d.wal.LastLSN()
+		if err = d.wal.Rotate(); err == nil {
+			dirty = d.engine().TakeCheckpointDirty()
+		}
+	})
+	if err != nil {
+		return err
 	}
-	d.mu.Unlock()
-	d.gmu.Unlock()
-	if rotErr != nil {
-		return rotErr
-	}
+	prev := d.man
 	fenceHold := time.Since(t0)
 
-	restoreDirty := func() { d.engine().RestoreCheckpointDirty(dirty) }
+	restoreDirty := func() { d.engine().Fence(func() { d.engine().RestoreCheckpointDirty(dirty) }) }
 
 	// Phase B — no fence: plan the segment set and write the new files
 	// concurrently on the maintenance pool. The snapshot is immutable
@@ -776,23 +763,58 @@ func (d *DB) Checkpoint() error {
 
 	// Phase C — under the commit fence again: swap the manifest and
 	// prune. Everything here is O(manifest), independent of data size.
-	d.gmu.Lock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.gmu.Unlock()
-	fenceStart := time.Now()
-	if d.wal == nil {
-		cleanupNew()
-		restoreDirty()
-		return fmt.Errorf("mview: database closed during checkpoint")
+	var walDropped int
+	var reg *obs.Registry
+	d.engine().Fence(func() {
+		fenceStart := time.Now()
+		walDropped, err = d.swapManifest(man, prev, lsn, dirty, cleanupNew)
+		fenceHold += time.Since(fenceStart)
+		reg = d.reg
+	})
+	if err != nil {
+		return err
 	}
-	abort := func(err error) error {
+	d.ckptStats = CheckpointStats{
+		LSN:                lsn,
+		Duration:           time.Since(t0),
+		FenceHold:          fenceHold,
+		SegmentsWritten:    len(jobs),
+		SegmentsReused:     reused,
+		BytesWritten:       bytesWritten.Load(),
+		WALSegmentsDropped: walDropped,
+	}
+	if reg != nil {
+		reg.Histogram("mview_checkpoint_seconds",
+			"Checkpoint duration: segment writes, manifest swap, pruning.", nil, nil).
+			ObserveDuration(d.ckptStats.Duration)
+		reg.Histogram("mview_checkpoint_fence_seconds",
+			"Commit-fence hold time per checkpoint (capture + manifest swap; segment writes run outside the fence).", nil, nil).
+			ObserveDuration(fenceHold)
+		reg.Counter("mview_checkpoint_segments_written_total",
+			"Checkpoint segment files written (catalog included).", nil).
+			Add(int64(len(jobs)))
+		reg.Counter("mview_checkpoint_segments_reused_total",
+			"Clean shards re-referenced from the previous checkpoint instead of rewritten.", nil).
+			Add(int64(reused))
+	}
+	return nil
+}
+
+// swapManifest is Checkpoint's phase C, run inside the engine fence
+// with ckptMu held: it makes man the on-disk checkpoint root (and
+// d.man) and prunes what it supersedes, returning how many WAL
+// segments were dropped.
+func (d *DB) swapManifest(man, prev *manifest, lsn uint64, dirty map[string][]bool, cleanupNew func()) (int, error) {
+	abort := func(err error) (int, error) {
 		if !errors.Is(err, errSimulatedCrash) {
 			os.Remove(filepath.Join(d.dir, manifestFile+".tmp"))
 			cleanupNew()
-			restoreDirty()
+			d.engine().RestoreCheckpointDirty(dirty)
 		}
-		return err
+		return 0, err
+	}
+	if d.closed {
+		return abort(fmt.Errorf("mview: database closed during checkpoint"))
 	}
 	tmp := filepath.Join(d.dir, manifestFile+".tmp")
 	if err := writeFileSynced(tmp, man.encode()); err != nil {
@@ -809,13 +831,13 @@ func (d *DB) Checkpoint() error {
 	// falls back to the old manifest plus the still-complete WAL).
 	d.man = man
 	if err := hookStep("rename"); err != nil {
-		return err
+		return 0, err
 	}
 	if err := syncDir(d.dir); err != nil {
-		return err
+		return 0, err
 	}
 	if err := hookStep("dirsync"); err != nil {
-		return err
+		return 0, err
 	}
 
 	// Prune: checkpoint segments only the old manifest referenced, the
@@ -831,41 +853,13 @@ func (d *DB) Checkpoint() error {
 		}
 	}
 	if err := os.Remove(filepath.Join(d.dir, snapshotFile)); err != nil && !os.IsNotExist(err) {
-		return err
+		return 0, err
 	}
 	walDropped, err := d.wal.DropThrough(lsn)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := hookStep("segment-delete"); err != nil {
-		return err
-	}
-
-	fenceHold += time.Since(fenceStart)
-	d.ckptStats = CheckpointStats{
-		LSN:                lsn,
-		Duration:           time.Since(t0),
-		FenceHold:          fenceHold,
-		SegmentsWritten:    len(jobs),
-		SegmentsReused:     reused,
-		BytesWritten:       bytesWritten.Load(),
-		WALSegmentsDropped: walDropped,
-	}
-	if d.reg != nil {
-		d.reg.Histogram("mview_checkpoint_seconds",
-			"Checkpoint duration: segment writes, manifest swap, pruning.", nil, nil).
-			ObserveDuration(d.ckptStats.Duration)
-		d.reg.Histogram("mview_checkpoint_fence_seconds",
-			"Commit-fence hold time per checkpoint (capture + manifest swap; segment writes run outside the fence).", nil, nil).
-			ObserveDuration(fenceHold)
-		d.reg.Counter("mview_checkpoint_segments_written_total",
-			"Checkpoint segment files written (catalog included).", nil).
-			Add(int64(len(jobs)))
-		d.reg.Counter("mview_checkpoint_segments_reused_total",
-			"Clean shards re-referenced from the previous checkpoint instead of rewritten.", nil).
-			Add(int64(reused))
-	}
-	return nil
+	return walDropped, hookStep("segment-delete")
 }
 
 func segKey(rel string, shard int) string { return fmt.Sprintf("%s\x00%d", rel, shard) }
@@ -972,7 +966,7 @@ func writeFileSynced(path string, data []byte) error {
 // nothing the OS has accepted. No-op on in-memory databases.
 func (d *DB) SetLogSync(sync bool) {
 	if d.wal != nil {
-		d.wal.Sync = sync
+		d.engine().Fence(func() { d.wal.Sync = sync })
 	}
 }
 
@@ -986,18 +980,21 @@ func (d *DB) Close() error {
 		d.follower.cancel()
 		<-d.follower.done
 	}
-	// Stop the group scheduler first (drains queued transactions and
-	// waits out in-flight Exec calls) so no leader can touch the log
-	// once it is closed, then the refresh scheduler (its wheel may be
-	// mid-refresh; stop waits it out so nothing fires after Close).
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
+	// Stop the group scheduler first (it drains queued transactions),
+	// then the refresh scheduler (its wheel may be mid-refresh; stop
+	// waits it out so nothing fires after Close), then close the log
+	// inside the commit fence: a statement racing Close either logs and
+	// publishes before it or fails its append on the closed log and
+	// leaves no trace.
 	d.engine().DisableGroupCommit()
 	d.engine().StopScheduler()
 	if d.wal == nil {
 		return nil
 	}
-	err := d.wal.Close()
-	d.wal = nil
+	var err error
+	d.engine().Fence(func() {
+		d.closed = true
+		err = d.wal.Close()
+	})
 	return err
 }

@@ -9,11 +9,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mview/internal/obs"
+	"mview/internal/repl"
 	"mview/internal/wal"
 )
 
@@ -188,7 +191,7 @@ func TestSingleAppendFailureRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Seed row plus the acknowledged insert; the failed one was
-			// never logged (serial commits apply-then-log).
+			// never logged, and never visible either (log-before-visible).
 			want := map[int64]bool{9: true, 7: true}
 			if len(rows) != 2 || !want[rows[0][0]] || !want[rows[1][0]] {
 				t.Fatalf("recovered r = %v, want rows keyed 9 and 7", rows)
@@ -204,7 +207,7 @@ func TestSingleAppendFailureRecovery(t *testing.T) {
 	}
 }
 
-// TestGroupCrashMidBatch kills the process (via wal.AppendBatchHook)
+// TestGroupCrashMidBatch kills the process (via wal.AppendHook)
 // after a commit group's records hit the log but before the append is
 // acknowledged, then recovers from every byte-level cut of the doomed
 // batch. Each group member writes one r row AND one s row in a single
@@ -239,14 +242,14 @@ func TestGroupCrashMidBatch(t *testing.T) {
 		payloads[i] = p
 	}
 
-	wal.AppendBatchHook = func(stage string) error {
+	wal.AppendHook = func(stage string) error {
 		if stage == "synced" {
 			return errSimulatedCrash
 		}
 		return nil
 	}
 	err = d.logPayloadBatch(payloads)
-	wal.AppendBatchHook = nil
+	wal.AppendHook = nil
 	if !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("logPayloadBatch err = %v, want simulated crash", err)
 	}
@@ -325,9 +328,11 @@ func TestGroupCrashMidBatch(t *testing.T) {
 // prefix of the doomed group but never an inconsistent state.
 func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 	dir := t.TempDir()
-	d := openDur(t, dir)
+	d, err := OpenDurable(dir, WithGroupCommit(8, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
 	seedDurable(t, d)
-	d.EnableGroupCommit(8, 5*time.Millisecond)
 
 	walPath := filepath.Join(dir, logFile+".1") // the active segment
 	// The hook fires on every append attempt (the process is "dead"
@@ -336,7 +341,7 @@ func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 	// would never have run.
 	var firstLen atomic.Int64
 	firstLen.Store(-1)
-	wal.AppendBatchHook = func(stage string) error {
+	wal.AppendHook = func(stage string) error {
 		if stage != "written" {
 			return nil
 		}
@@ -345,7 +350,7 @@ func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 		}
 		return errSimulatedCrash
 	}
-	defer func() { wal.AppendBatchHook = nil }()
+	defer func() { wal.AppendHook = nil }()
 
 	const writers = 6
 	var wg sync.WaitGroup
@@ -359,7 +364,7 @@ func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	wal.AppendBatchHook = nil
+	wal.AppendHook = nil
 
 	// Log-before-visible: none of the failed transactions may have
 	// reached the live engine.
@@ -392,5 +397,210 @@ func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 	}
 	if len(rrows)-1 > writers {
 		t.Fatalf("recovered %d members from %d writers", len(rrows)-1, writers)
+	}
+}
+
+// visibleState is everything a reader can observe of a database: the
+// catalog, every base relation and view, and every view's policy
+// (minus the staleness clock, which moves on its own).
+type visibleState struct {
+	Relations, Views []string
+	Rows             map[string][][]int64
+	ViewRows         map[string][]Row
+	Policies         map[string]PolicyInfo
+}
+
+func captureState(t *testing.T, d *DB) visibleState {
+	t.Helper()
+	s := visibleState{
+		Relations: d.Relations(),
+		Views:     d.Views(),
+		Rows:      make(map[string][][]int64),
+		ViewRows:  make(map[string][]Row),
+		Policies:  make(map[string]PolicyInfo),
+	}
+	for _, rel := range s.Relations {
+		rows, err := d.Rows(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Rows[rel] = rows
+	}
+	for _, v := range s.Views {
+		rows, err := d.View(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ViewRows[v] = rows
+		p, err := d.Policy(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Staleness = 0
+		s.Policies[v] = p
+	}
+	return s
+}
+
+// durable drops the contents of deferred views: a replica bootstrap or
+// a reopen re-materializes them fresh, so only their definitions and
+// policies carry across databases.
+func (s visibleState) durable() visibleState {
+	rows := make(map[string][]Row, len(s.ViewRows))
+	for v, r := range s.ViewRows {
+		if s.Policies[v].Immediate {
+			rows[v] = r
+		}
+	}
+	s.ViewRows = rows
+	return s
+}
+
+// TestFailedAppendLeavesNoTrace: a statement whose commit-log append
+// fails — at the write or at the fsync — returns the error and leaves
+// no visible trace: no relation, view, catalog, or policy change, no
+// subscriber callback, no replicated record. Every statement kind is
+// covered, with group commit off and on. Retrying the statement then
+// succeeds, replicates, and survives a reopen.
+func TestFailedAppendLeavesNoTrace(t *testing.T) {
+	stmts := []struct {
+		name string
+		run  func(d *DB) error
+	}{
+		{"exec", func(d *DB) error { _, err := d.Exec(Insert("r", 8, 10)); return err }},
+		{"create-relation", func(d *DB) error { return d.CreateRelation("t", "E", "F") }},
+		{"create-view", func(d *DB) error { return d.CreateView("w", ViewSpec{From: []string{"r"}, Where: "A < 5"}) }},
+		{"create-join-view", func(d *DB) error { return d.CreateJoinView("j", []string{"r", "s"}) }},
+		{"drop-view", func(d *DB) error { return d.DropView("dv") }},
+		// dv is deferred with a backlog, so moving it to OnCommit drains
+		// the backlog and would notify dv's subscriber.
+		{"set-policy", func(d *DB) error { return d.SetPolicy("dv", OnCommit()) }},
+	}
+	for _, st := range stmts {
+		for _, mode := range []string{"serial", "group"} {
+			for _, stage := range []string{"written", "synced"} {
+				t.Run(st.name+"/"+mode+"/"+stage, func(t *testing.T) {
+					dir := t.TempDir()
+					reg := obs.NewRegistry()
+					opts := []Option{WithObs(reg, nil)}
+					if mode == "group" {
+						opts = append(opts, WithGroupCommit(8, 0))
+					}
+					d, err := OpenDurable(dir, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer d.Close()
+					seedDurable(t, d)
+					if err := d.CreateView("dv", ViewSpec{From: []string{"r"}}, OnDemand()); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := d.Exec(Insert("r", 1, 1)); err != nil {
+						t.Fatal(err)
+					}
+
+					srv, err := d.ReplicationServer()
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv.Poll = 200 * time.Microsecond
+					srv.Heartbeat = 2 * time.Millisecond
+					f, err := openFollowerTransport(repl.LocalTransport{S: srv}, "f")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer f.Close()
+					preLSN := srv.LeaderLSN()
+					waitReplicated(t, f, preLSN)
+
+					var fired atomic.Int64
+					for _, db := range []*DB{d, f} {
+						for _, v := range []string{"v", "dv"} {
+							cancel, err := db.Subscribe(v, func(Change) { fired.Add(1) })
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer cancel()
+						}
+					}
+					before, fBefore := captureState(t, d), captureState(t, f)
+
+					fail := errors.New("injected append failure")
+					wal.AppendHook = func(s string) error {
+						if s == stage {
+							return fail
+						}
+						return nil
+					}
+					err = st.run(d)
+					wal.AppendHook = nil
+					failedAt := time.Now()
+					if !errors.Is(err, fail) {
+						t.Fatalf("statement err = %v, want injected failure", err)
+					}
+					if got := captureState(t, d); !reflect.DeepEqual(got, before) {
+						t.Fatalf("failed statement left a visible trace:\nbefore %+v\nafter  %+v", before, got)
+					}
+					if n := reg.Counter("mview_wal_append_errors_total", "", nil).Value(); n != 1 {
+						t.Errorf("mview_wal_append_errors_total = %d, want 1", n)
+					}
+
+					// Let a stream frame sent after the failure arrive: the
+					// leader's durable position must not have moved, and the
+					// follower must hold exactly what it held before.
+					deadline := time.Now().Add(5 * time.Second)
+					for {
+						fs, _ := f.FollowerStatus()
+						if fs.LastContact < time.Since(failedAt).Seconds() {
+							if fs.LeaderLSN != preLSN || fs.AppliedLSN != preLSN {
+								t.Fatalf("follower saw leader LSN %d, applied %d after the failure; want %d", fs.LeaderLSN, fs.AppliedLSN, preLSN)
+							}
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatal("no stream frame reached the follower after the failure")
+						}
+						time.Sleep(time.Millisecond)
+					}
+					if got := captureState(t, f); !reflect.DeepEqual(got, fBefore) {
+						t.Fatalf("follower observed the failed statement:\nbefore %+v\nafter  %+v", fBefore, got)
+					}
+					if n := fired.Load(); n != 0 {
+						t.Fatalf("%d subscriber callbacks fired for a failed statement", n)
+					}
+
+					// The retry commits, replicates in order (one record past
+					// the pre-failure position, no re-sync), and survives reopen.
+					if err := st.run(d); err != nil {
+						t.Fatalf("retry: %v", err)
+					}
+					after := captureState(t, d)
+					if reflect.DeepEqual(after, before) {
+						t.Fatal("retried statement changed nothing")
+					}
+					if got := srv.LeaderLSN(); got != preLSN+1 {
+						t.Fatalf("leader LSN after retry = %d, want %d", got, preLSN+1)
+					}
+					waitReplicated(t, f, preLSN+1)
+					if fs, _ := f.FollowerStatus(); fs.Resyncs != 0 {
+						t.Fatalf("follower re-synced %d times", fs.Resyncs)
+					}
+					if got := captureState(t, f).durable(); !reflect.DeepEqual(got, after.durable()) {
+						t.Fatalf("follower diverged after the retry:\nleader   %+v\nfollower %+v", after, got)
+					}
+					if err := f.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := d.Close(); err != nil {
+						t.Fatal(err)
+					}
+					d2 := openDur(t, dir)
+					defer d2.Close()
+					if got := captureState(t, d2).durable(); !reflect.DeepEqual(got, after.durable()) {
+						t.Fatalf("reopen lost the retried statement:\nwant %+v\ngot  %+v", after, got)
+					}
+				})
+			}
+		}
 	}
 }

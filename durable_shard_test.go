@@ -181,13 +181,12 @@ func TestOpenOptionEquivalence(t *testing.T) {
 	optDB := Open(WithMaintWorkers(3), WithShards(4), WithGroupCommit(8, 0))
 	legacy := Open()
 	legacy.SetMaintWorkers(3)
-	legacy.EnableGroupCommit(8, 0)
 
 	if g, l := optDB.MaintWorkers(), legacy.MaintWorkers(); g != l || g != 3 {
 		t.Errorf("MaintWorkers: options=%d legacy=%d, want 3", g, l)
 	}
-	if g, l := optDB.GroupCommitEnabled(), legacy.GroupCommitEnabled(); !g || !l {
-		t.Errorf("GroupCommitEnabled: options=%v legacy=%v, want true", g, l)
+	if !optDB.GroupCommitEnabled() {
+		t.Error("GroupCommitEnabled: options=false, want true")
 	}
 	if got := optDB.Shards(); got != 4 {
 		t.Errorf("Shards() = %d, want 4", got)
@@ -195,6 +194,6 @@ func TestOpenOptionEquivalence(t *testing.T) {
 	if got := legacy.Shards(); got != 1 {
 		t.Errorf("legacy Shards() = %d, want 1 (no mutator exists; sharding is construction-only)", got)
 	}
-	optDB.DisableGroupCommit()
-	legacy.DisableGroupCommit()
+	optDB.Close()
+	legacy.Close()
 }

@@ -39,15 +39,6 @@ func NewSession(opts ...mview.Option) *Session {
 // command).
 func (s *Session) SetMaintWorkers(n int) { s.db.SetMaintWorkers(n) }
 
-// EnableGroupCommit coalesces concurrent transactions into commit
-// groups (one log fsync, one maintenance pass, one snapshot publish
-// per group). The shell itself is single-writer, so this mostly
-// matters when a script is replayed while other clients share the
-// database; it is exposed for parity with mviewd.
-func (s *Session) EnableGroupCommit(maxBatch int, window time.Duration) {
-	s.db.EnableGroupCommit(maxBatch, window)
-}
-
 // NewDurableSession returns a session over a durable database rooted
 // at dir (created or recovered via its commit log and checkpoints).
 // Construction options are forwarded to mview.OpenDurable, so e.g.

@@ -78,15 +78,13 @@ func (e *Engine) markCheckpointDirtyLocked(u delta.Update) {
 	}
 }
 
-// TakeCheckpointDirty atomically snapshots the per-relation dirty-shard
-// bitmaps and resets them all clean, marking the start of a checkpoint
-// interval. The caller must hold the commit fence while calling (so
-// the returned bitmaps correspond exactly to the WAL position it
-// captures); if the checkpoint later fails, RestoreCheckpointDirty
-// merges the taken bits back so the next checkpoint rewrites them.
+// TakeCheckpointDirty snapshots the per-relation dirty-shard bitmaps
+// and resets them all clean, marking the start of a checkpoint
+// interval. Call it inside Fence, so the returned bitmaps correspond
+// exactly to the WAL position captured there; if the checkpoint later
+// fails, RestoreCheckpointDirty merges the taken bits back so the next
+// checkpoint rewrites them.
 func (e *Engine) TakeCheckpointDirty() map[string][]bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	taken := e.ckptDirty
 	e.ckptDirty = make(map[string][]bool, len(taken))
 	for name, bits := range taken {
@@ -97,10 +95,9 @@ func (e *Engine) TakeCheckpointDirty() map[string][]bool {
 
 // RestoreCheckpointDirty ORs previously taken dirty bits back into the
 // live bitmaps after a failed checkpoint, so nothing the failed run
-// was responsible for persisting is ever skipped by the next one.
+// was responsible for persisting is ever skipped by the next one. Call
+// it inside Fence.
 func (e *Engine) RestoreCheckpointDirty(taken map[string][]bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for name, bits := range taken {
 		live := e.ckptDirty[name]
 		if live == nil || len(live) != len(bits) {

@@ -16,7 +16,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	for _, grouped := range []bool{false, true} {
 		e := newEngine(t)
 		if grouped {
-			e.EnableGroupCommit(4, 0, nil)
+			e.EnableGroupCommit(4, 0)
 			defer e.DisableGroupCommit()
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -40,7 +40,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 // normally once the lock is released.
 func TestExecuteCtxQueuedCancellation(t *testing.T) {
 	e := newEngine(t)
-	e.EnableGroupCommit(8, 0, nil)
+	e.EnableGroupCommit(8, 0)
 	defer e.DisableGroupCommit()
 	g := e.group.Load()
 
@@ -102,7 +102,7 @@ func TestExecuteCtxQueuedCancellation(t *testing.T) {
 // return the commit's verdict, not ctx.Err().
 func TestExecuteCtxClaimedRunsToVerdict(t *testing.T) {
 	e := newEngine(t)
-	e.EnableGroupCommit(8, 0, nil)
+	e.EnableGroupCommit(8, 0)
 	defer e.DisableGroupCommit()
 	g := e.group.Load()
 

@@ -319,6 +319,13 @@ type Engine struct {
 	// recompute staging at commit, deferred refreshes in RefreshAll).
 	// 0 means GOMAXPROCS. Guarded by mu.
 	maintWorkers int
+	// log is the commit-log sink (SetLog); nil for in-memory engines.
+	// Every logged statement — a commit batch or a DDL statement —
+	// appends its pre-encoded record through it while holding mu, after
+	// the statement validates and before it publishes, so a failed
+	// append leaves nothing visible and log order is publish order.
+	// Guarded by mu.
+	log func(payloads [][]byte) error
 	// group is the group-commit scheduler (group.go); nil means every
 	// Execute commits solo. Atomic so the Execute hot path routes
 	// without taking the engine lock.
@@ -695,8 +702,46 @@ func (e *Engine) applyToIndexes(u delta.Update) {
 	}
 }
 
+// SetLog attaches the commit-log sink. fn must make every payload
+// durable, in order, before returning nil (one fsync per call:
+// wal.Log.AppendBatch). The engine calls it with the commit lock held,
+// after a statement validates and before it becomes visible. Set it
+// once, when the log is opened.
+func (e *Engine) SetLog(fn func(payloads [][]byte) error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.log = fn
+}
+
+// logLocked appends one statement's record through the log sink; a
+// no-op without a sink or a payload. Callers hold the engine lock.
+func (e *Engine) logLocked(payload []byte) error {
+	if e.log == nil || payload == nil {
+		return nil
+	}
+	return e.log([][]byte{payload})
+}
+
+// Fence runs fn with the commit lock held exclusively. Every logged
+// statement appends its record and publishes inside one hold of that
+// lock, so within fn the log is quiescent and the published snapshot is
+// exactly the logged state. fn must not call engine methods that take
+// the lock.
+func (e *Engine) Fence(fn func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	fn()
+}
+
 // CreateRelation adds a base relation with the given attributes.
 func (e *Engine) CreateRelation(name string, attrs ...schema.Attribute) error {
+	return e.CreateRelationLogged(nil, name, attrs...)
+}
+
+// CreateRelationLogged is CreateRelation with a pre-encoded commit-log
+// record, appended through the log sink before the relation becomes
+// visible.
+func (e *Engine) CreateRelationLogged(payload []byte, name string, attrs ...schema.Attribute) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.views[name]; dup {
@@ -713,16 +758,19 @@ func (e *Engine) CreateRelation(name string, attrs ...schema.Attribute) error {
 	if err := next.Add(rs); err != nil {
 		return err
 	}
-	e.scheme = next
+	var r *relation.Relation
 	if e.shards > 1 && s.Arity() > 0 {
-		r, err := relation.NewSharded(s, 0, e.shards)
-		if err != nil {
+		if r, err = relation.NewSharded(s, 0, e.shards); err != nil {
 			return err
 		}
-		e.base[name] = r
 	} else {
-		e.base[name] = relation.New(s)
+		r = relation.New(s)
 	}
+	if err := e.logLocked(payload); err != nil {
+		return err
+	}
+	e.scheme = next
+	e.base[name] = r
 	e.initCheckpointDirtyLocked(name)
 	e.publishLocked()
 	return nil
@@ -764,6 +812,13 @@ func (e *Engine) Relation(name string) (*relation.Relation, error) {
 
 // CreateView defines and immediately materializes a view.
 func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
+	return e.CreateViewLogged(nil, v, cfg)
+}
+
+// CreateViewLogged is CreateView with a pre-encoded commit-log record,
+// appended through the log sink once the view has materialized and
+// before it becomes visible.
+func (e *Engine) CreateViewLogged(payload []byte, v expr.View, cfg ViewConfig) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.views[v.Name]; dup {
@@ -786,6 +841,9 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	}
 	data, err := eval.Materialize(bound, e.operandInstances(bound), cfg.EvalOpt)
 	if err != nil {
+		return err
+	}
+	if err := e.logLocked(payload); err != nil {
 		return err
 	}
 	st := &viewState{
@@ -813,11 +871,18 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 }
 
 // DropView removes a view.
-func (e *Engine) DropView(name string) error {
+func (e *Engine) DropView(name string) error { return e.DropViewLogged(nil, name) }
+
+// DropViewLogged is DropView with a pre-encoded commit-log record,
+// appended through the log sink before the view disappears.
+func (e *Engine) DropViewLogged(payload []byte, name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.views[name]; !ok {
 		return fmt.Errorf("db: unknown view %q", name)
+	}
+	if err := e.logLocked(payload); err != nil {
+		return err
 	}
 	delete(e.views, name)
 	for i, n := range e.viewOrder {
@@ -896,7 +961,7 @@ type TxResult struct {
 // as the last step of the commit, and deferred views accumulate the
 // composed net change for a later refresh.
 func (e *Engine) Execute(tx *delta.Tx) (TxResult, error) {
-	return e.ExecuteLogged(tx, nil)
+	return e.ExecuteLoggedCtx(context.Background(), tx, nil)
 }
 
 // ExecuteCtx is Execute with cancellation: the context is checked
@@ -908,19 +973,13 @@ func (e *Engine) ExecuteCtx(ctx context.Context, tx *delta.Tx) (TxResult, error)
 	return e.ExecuteLoggedCtx(ctx, tx, nil)
 }
 
-// ExecuteLogged is Execute with a pre-encoded commit-log record that
-// must become durable before the transaction is visible. With group
-// commit enabled the transaction rides a group — its record is
-// appended with the whole batch under one fsync; otherwise (or while
-// the scheduler is shutting down) it commits solo and the payload is
-// ignored: the serial durable path logs after applying, under the
-// caller's statement lock, exactly as before.
-func (e *Engine) ExecuteLogged(tx *delta.Tx, payload []byte) (TxResult, error) {
-	return e.ExecuteLoggedCtx(context.Background(), tx, payload)
-}
-
-// ExecuteLoggedCtx is ExecuteLogged with cancellation (see
-// ExecuteCtx). The commit itself is not interruptible once started.
+// ExecuteLoggedCtx is ExecuteCtx with a pre-encoded commit-log record
+// that the pipeline appends through the log sink before the
+// transaction becomes visible. With group commit enabled the record is
+// appended with its whole batch under one fsync; otherwise (or while
+// the scheduler is shutting down) the transaction commits solo on the
+// caller's goroutine through the same pipeline. The commit itself is
+// not interruptible once started.
 func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []byte) (TxResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TxResult{}, err
@@ -943,14 +1002,7 @@ func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []b
 		res, err, grouped = g.submitCtx(ctx, tx, payload) // notifications fired by the scheduler
 	}
 	if !grouped {
-		if payload != nil {
-			// Unreachable when the caller serializes ExecuteLogged
-			// against DisableGroupCommit (the durable layer's gmu):
-			// refuse rather than commit without durably logging.
-			err = fmt.Errorf("db: group commit stopped mid-transaction")
-		} else {
-			res, ns, err = e.executeLocked(tx, root)
-		}
+		res, ns, err = e.executeLocked(tx, payload, root)
 	}
 	if o != nil {
 		if err == nil {
@@ -981,13 +1033,13 @@ func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []b
 // executeLocked commits one transaction through the batch pipeline
 // (group.go): the serial path is a group of one, so both paths share
 // every phase — net effects, §6 composition (a no-op for one tx),
-// classification, pooled maintenance, validation, install, publish.
-// parent is the caller's db.commit span context; the pipeline's stage
-// spans become its children.
-func (e *Engine) executeLocked(tx *delta.Tx, parent obs.SpanContext) (TxResult, []notification, error) {
-	req := &groupReq{tx: tx}
+// classification, pooled maintenance, validation, log, install,
+// publish. parent is the caller's db.commit span context; the
+// pipeline's stage spans become its children.
+func (e *Engine) executeLocked(tx *delta.Tx, payload []byte, parent obs.SpanContext) (TxResult, []notification, error) {
+	req := &groupReq{tx: tx, payload: payload}
 	ct := e.newCommitTrace(parent)
-	ns, err := e.executeBatchLocked([]*groupReq{req}, nil, ct)
+	ns, err := e.executeBatchLocked([]*groupReq{req}, ct)
 	ct.close(err)
 	if err != nil {
 		return TxResult{}, nil, err
@@ -1674,31 +1726,63 @@ func (e *Engine) RefreshPeriodically(name string, interval time.Duration, onErr 
 // SetViewPolicy changes a view's refresh policy at runtime. Moving to
 // an on-commit (or adaptive) policy drains any accumulated backlog
 // under the same lock hold, so a commit can never observe an immediate
-// view with stale contents. The change is engine state only — durable
-// logging and replication are the caller's concern (mview.DB.SetPolicy).
+// view with stale contents.
 func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
+	return e.SetViewPolicyLogged(nil, name, spec)
+}
+
+// SetViewPolicyLogged is SetViewPolicy with a pre-encoded commit-log
+// record, appended through the log sink before the change (and any
+// backlog drain it triggers) becomes visible.
+func (e *Engine) SetViewPolicyLogged(payload []byte, name string, spec RefreshSpec) error {
+	ns, err := e.setViewPolicyLocked(payload, name, spec)
+	if err != nil {
+		return err
+	}
+	if spec.scheduled() {
+		e.sched.ensure()
+	}
+	e.sched.poke()
+	fire(ns)
+	return nil
+}
+
+func (e *Engine) setViewPolicyLocked(payload []byte, name string, spec RefreshSpec) ([]notification, error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	st, ok := e.views[name]
 	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("db: unknown view %q", name)
+		return nil, fmt.Errorf("db: unknown view %q", name)
 	}
-	var ns []notification
+	// The backlog drain is computed and validated before the statement
+	// is logged, so its install below cannot fail after the append.
+	var j *refreshJob
 	if spec.mode() == Immediate && len(st.pending) > 0 {
-		j, err := e.buildRefreshJob(st)
-		if err != nil {
-			e.mu.Unlock()
-			return err
+		var err error
+		if j, err = e.buildRefreshJob(st); err != nil {
+			return nil, err
 		}
 		if j != nil {
 			if o := e.o.Load(); o != nil && o.tr != nil {
 				j.tr = o.tr
 			}
 			j.run()
-			if ns, err = e.installRefreshJob(j); err != nil {
-				e.mu.Unlock()
-				return err
+			if j.err == nil && j.d != nil {
+				j.err = diffeval.Validate(st.data, j.d)
 			}
+			if j.err != nil {
+				return nil, j.err
+			}
+		}
+	}
+	if err := e.logLocked(payload); err != nil {
+		return nil, err
+	}
+	var ns []notification
+	if j != nil {
+		var err error
+		if ns, err = e.installRefreshJob(j); err != nil {
+			return nil, err
 		}
 	}
 	st.cfg.When = spec
@@ -1708,14 +1792,7 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 	}
 	st.snapDirty = true
 	e.publishLocked()
-	scheduled := spec.scheduled()
-	e.mu.Unlock()
-	if scheduled {
-		e.sched.ensure()
-	}
-	e.sched.poke()
-	fire(ns)
-	return nil
+	return ns, nil
 }
 
 // ViewPolicy reports a view's refresh policy and its current

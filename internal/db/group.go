@@ -1,14 +1,15 @@
 // Group commit: concurrent Execute callers enqueue their transactions
 // and a single scheduler goroutine drains the queue in batches. Each
-// batch pays ONE log fsync (wal.Log.AppendBatch via the logBatch
-// callback), ONE composed 3-phase maintenance pass (§6 composition
+// batch pays ONE log fsync (wal.Log.AppendBatch via the engine's log
+// sink, SetLog), ONE composed 3-phase maintenance pass (§6 composition
 // cancels insert/delete churn before it reaches the views), and ONE
 // snapshot publish, then fans the per-transaction results back out to
 // the waiting callers.
 //
 // The serial path is the same pipeline with a batch of one:
 // executeLocked wraps executeBatchLocked, so group-on and group-off
-// share every invariant (atomicity, COW discipline, §4 filtering).
+// share every invariant (log-before-visible, atomicity, COW
+// discipline, §4 filtering).
 package db
 
 import (
@@ -49,7 +50,6 @@ type group struct {
 	e        *Engine
 	maxBatch int
 	window   time.Duration
-	logBatch func(payloads [][]byte) error // one fsync per call; nil when not durable
 
 	mu       sync.Mutex
 	queue    []*groupReq
@@ -66,10 +66,9 @@ type group struct {
 // enqueue and a leader goroutine commits batches of up to maxBatch
 // transactions (non-positive: DefaultGroupMaxBatch), waiting up to
 // window for stragglers only when there is evidence of concurrency — a
-// solo writer never pays the window. logBatch, when non-nil, must
-// persist all payloads with a single fsync (wal.Log.AppendBatch);
-// it is called before the batch becomes visible.
-func (e *Engine) EnableGroupCommit(maxBatch int, window time.Duration, logBatch func([][]byte) error) {
+// solo writer never pays the window. Each batch's records go to the
+// log sink (SetLog) in one call, before the batch becomes visible.
+func (e *Engine) EnableGroupCommit(maxBatch int, window time.Duration) {
 	e.DisableGroupCommit()
 	if maxBatch <= 0 {
 		maxBatch = DefaultGroupMaxBatch
@@ -81,7 +80,6 @@ func (e *Engine) EnableGroupCommit(maxBatch int, window time.Duration, logBatch 
 		e:        e,
 		maxBatch: maxBatch,
 		window:   window,
-		logBatch: logBatch,
 		wake:     make(chan struct{}, 1),
 		full:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -92,7 +90,7 @@ func (e *Engine) EnableGroupCommit(maxBatch int, window time.Duration, logBatch 
 }
 
 // DisableGroupCommit stops the scheduler after draining queued
-// transactions; later Execute calls take the serial path. No-op when
+// transactions; later Execute calls commit solo. No-op when
 // group commit is off.
 func (e *Engine) DisableGroupCommit() {
 	g := e.group.Swap(nil)
@@ -109,18 +107,13 @@ func (e *Engine) DisableGroupCommit() {
 // GroupCommitEnabled reports whether the scheduler is running.
 func (e *Engine) GroupCommitEnabled() bool { return e.group.Load() != nil }
 
-// submit enqueues a transaction and blocks until its group commits.
-// ok=false means the scheduler is shutting down and the caller must
-// take the serial path.
-func (g *group) submit(tx *delta.Tx, payload []byte) (TxResult, error, bool) {
-	return g.submitCtx(context.Background(), tx, payload)
-}
-
-// submitCtx is submit with cancellation while queued: if ctx ends
-// before a leader claims the request, the transaction is withdrawn and
-// ctx's error returned. Once a leader has popped the request the
-// commit is in flight and its outcome stands — cancellation can skip
-// the wait for a batch, never tear a committed member back out.
+// submitCtx enqueues a transaction and blocks until its group
+// commits. ok=false means the scheduler is shutting down and the
+// caller must commit solo. If ctx ends before a leader claims the
+// request, the transaction is withdrawn and ctx's error returned. Once
+// a leader has popped the request the commit is in flight and its
+// outcome stands — cancellation can skip the wait for a batch, never
+// tear a committed member back out.
 func (g *group) submitCtx(ctx context.Context, tx *delta.Tx, payload []byte) (TxResult, error, bool) {
 	req := &groupReq{tx: tx, payload: payload, enqueued: time.Now(), done: make(chan struct{})}
 	g.mu.Lock()
@@ -293,7 +286,7 @@ func (g *group) runOnce(batch []*groupReq, window time.Duration) {
 		}
 	}
 	ct := g.e.newGroupTrace(len(batch), queueWait, window)
-	ns, err := g.e.executeBatchLocked(batch, g.logBatch, ct)
+	ns, err := g.e.executeBatchLocked(batch, ct)
 	ct.close(err)
 	if err != nil {
 		if len(batch) == 1 {
@@ -332,7 +325,9 @@ func (g *group) runOnce(batch []*groupReq, window time.Duration) {
 //  3. maintenance: ONE 3-phase pass over the composed delta — the
 //     serial pipeline's classify / compute-on-pool / validate, with
 //     recomputes materialized from the overlay post-state.
-//  4. log: all payloads appended with a single fsync (logBatch).
+//  4. log: all payloads appended through the log sink with a single
+//     fsync. DDL statements append through the same sink under the
+//     same lock, so log order is publish order.
 //  5. install + publish: bases swap to the overlay clones, indexes
 //     advance by the composed delta, view states install, ONE COW
 //     snapshot publishes. Nothing in this phase can fail.
@@ -340,7 +335,7 @@ func (g *group) runOnce(batch []*groupReq, window time.Duration) {
 // ct (nil when obs is detached) times every phase as a pipeline stage
 // and, with a tracer attached, emits the stage and fan-out spans that
 // the flight recorder assembles into the commit's trace (trace.go).
-func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) error, ct *commitTrace) ([]notification, error) {
+func (e *Engine) executeBatchLocked(reqs []*groupReq, ct *commitTrace) ([]notification, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -627,7 +622,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	// of it becomes visible. A log failure aborts with the engine
 	// untouched (AppendBatch truncates a torn batch back out).
 	logged := false
-	if logBatch != nil {
+	if e.log != nil {
 		payloads := make([][]byte, 0, len(live))
 		for _, r := range live {
 			if r.payload != nil {
@@ -637,7 +632,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 		if len(payloads) > 0 {
 			logged = true
 			se = ct.begin(stageFsync, obs.KV{K: "payloads", V: len(payloads)})
-			err := logBatch(payloads)
+			err := e.log(payloads)
 			se.end(obs.KV{K: "err", V: err != nil})
 			if err != nil {
 				return nil, err

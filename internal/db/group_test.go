@@ -116,7 +116,7 @@ func TestGroupCommitMatchesSerialOracle(t *testing.T) {
 	oracle, _ := buildGroupFleet(t, writers)
 	reg := obs.NewRegistry()
 	grp.SetObs(reg, nil)
-	grp.EnableGroupCommit(writers, 2*time.Millisecond, nil)
+	grp.EnableGroupCommit(writers, 2*time.Millisecond)
 	defer grp.DisableGroupCommit()
 
 	streams := genStreams(writers, rounds)
@@ -295,7 +295,7 @@ func TestGroupCommitPerTxNotifications(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.EnableGroupCommit(16, 2*time.Millisecond, nil)
+	e.EnableGroupCommit(16, 2*time.Millisecond)
 	defer e.DisableGroupCommit()
 
 	const writers, per = 8, 10
@@ -337,7 +337,7 @@ func TestDisableGroupCommitDrains(t *testing.T) {
 	var seed delta.Tx
 	seed.Insert("S", tuple.New(2, 10))
 	exec(t, e, &seed)
-	e.EnableGroupCommit(4, 50*time.Millisecond, nil)
+	e.EnableGroupCommit(4, 50*time.Millisecond)
 
 	const n = 12
 	var wg sync.WaitGroup

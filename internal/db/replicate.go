@@ -33,7 +33,7 @@ func (e *Engine) ExecuteReplicated(txs []*delta.Tx) error {
 		reqs[i] = &groupReq{tx: tx}
 	}
 	ct := e.newGroupTrace(len(reqs), 0, 0)
-	ns, err := e.executeBatchLocked(reqs, nil, ct)
+	ns, err := e.executeBatchLocked(reqs, ct)
 	ct.close(err)
 	if err != nil {
 		return fmt.Errorf("db: replicated batch failed (replica diverged): %w", err)

@@ -217,7 +217,7 @@ func TestShardedGroupCommitMatchesSerialOracle(t *testing.T) {
 	const writers, rounds = 8, 40
 	grp, defs := buildGroupFleet(t, writers, WithShards(4))
 	oracle, _ := buildGroupFleet(t, writers)
-	grp.EnableGroupCommit(writers, 2*time.Millisecond, nil)
+	grp.EnableGroupCommit(writers, 2*time.Millisecond)
 	defer grp.DisableGroupCommit()
 
 	streams := genStreams(writers, rounds)

@@ -115,7 +115,7 @@ func TestFlightRecorderGroupedCommitStress(t *testing.T) {
 	if err := e.CreateView(joinViewDef(t, e, "V"), ViewConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	e.EnableGroupCommit(8, 200*time.Microsecond, nil)
+	e.EnableGroupCommit(8, 200*time.Microsecond)
 
 	const workers, perWorker = 8, 24
 	var wg sync.WaitGroup

@@ -184,9 +184,8 @@ func TestErrors(t *testing.T) {
 // must be answered individually (its own TxInfo), the view must end up
 // with every row, and /debug/stats must report the scheduler active.
 func TestExecRidesGroupCommit(t *testing.T) {
-	db := mview.Open()
-	db.EnableGroupCommit(8, 2*time.Millisecond)
-	defer db.DisableGroupCommit()
+	db := mview.Open(mview.WithGroupCommit(8, 2*time.Millisecond))
+	defer db.Close()
 	h := NewWith(db)
 	if code, _ := do(t, h, "POST", "/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
 		t.Fatal("create r")

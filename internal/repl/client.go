@@ -238,10 +238,13 @@ func (c *Client) stream(ctx context.Context) error {
 		}
 		switch typ {
 		case frameRecords:
-			recs, err := decodeRecords(payload)
+			leaderLSN, recs, err := decodeRecords(payload)
 			if err != nil {
 				return err
 			}
+			// The leader's high-water mark rides every batch, so lag is
+			// measured while records stream, not only when idle.
+			c.noteContact(leaderLSN)
 			applied := c.a.AppliedLSN()
 			// Dedupe after a resumed stream: drop what we already have;
 			// a forward jump is a protocol violation → re-sync rather
@@ -263,7 +266,6 @@ func (c *Client) stream(ctx context.Context) error {
 			if err := c.a.Apply(fresh); err != nil {
 				return fmt.Errorf("repl: apply after %d: %v: %w", from, err, errResync)
 			}
-			c.noteContact(c.a.AppliedLSN())
 			sinceAck += len(fresh)
 			if sinceAck >= c.AckEvery {
 				_ = c.t.Ack(ctx, c.id, c.a.AppliedLSN())

@@ -11,8 +11,10 @@
 //
 //	u8 type | u32 payloadLen | payload | u32 crc32(type..payload)
 //
-// Three message types exist: records (a batch of WAL records, each
-// re-framed as u64 LSN | u8 kind | u32 len | bytes), heartbeat (the
+// Three message types exist: records (the leader's durable high-water
+// LSN, then a batch of WAL records, each re-framed as u64 LSN | u8 kind
+// | u32 len | bytes — the high-water mark lets a busy follower measure
+// its lag without waiting for an idle heartbeat), heartbeat (the
 // leader's durable high-water LSN plus its clock, sent when the stream
 // is idle so followers can measure lag), and gap (the records the
 // follower needs were reclaimed by a checkpoint; it must re-sync from
@@ -84,14 +86,21 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	return typ, body[:plen], nil
 }
 
+// recordsHeaderLen is the records payload header: u64 leader LSN, u32
+// record count.
+const recordsHeaderLen = 8 + 4
+
 // encodeRecords packs a batch of WAL records into a records payload:
-// u32 count, then per record u64 LSN | u8 kind | u32 len | bytes.
-func encodeRecords(recs []wal.Record) []byte {
-	size := 4
+// u64 leaderLSN (the leader's durable high-water mark when the batch
+// was read) | u32 count, then per record u64 LSN | u8 kind | u32 len |
+// bytes.
+func encodeRecords(leaderLSN uint64, recs []wal.Record) []byte {
+	size := recordsHeaderLen
 	for _, r := range recs {
 		size += 8 + 1 + 4 + len(r.Payload)
 	}
 	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, leaderLSN)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
 	for _, r := range recs {
 		buf = binary.BigEndian.AppendUint64(buf, r.LSN)
@@ -102,32 +111,39 @@ func encodeRecords(recs []wal.Record) []byte {
 	return buf
 }
 
-// decodeRecords unpacks a records payload.
-func decodeRecords(p []byte) ([]wal.Record, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("repl: short records payload")
+// decodeRecords unpacks a records payload into the leader's
+// high-water LSN and the records.
+func decodeRecords(p []byte) (uint64, []wal.Record, error) {
+	if len(p) < recordsHeaderLen {
+		return 0, nil, fmt.Errorf("repl: short records payload (%d bytes)", len(p))
 	}
-	n := binary.BigEndian.Uint32(p)
-	p = p[4:]
+	leaderLSN := binary.BigEndian.Uint64(p)
+	n := binary.BigEndian.Uint32(p[8:])
+	p = p[recordsHeaderLen:]
+	// Every record takes at least its 13-byte header, so a count the
+	// payload cannot hold is corrupt — refuse it before allocating.
+	if uint64(n)*(8+1+4) > uint64(len(p)) {
+		return 0, nil, fmt.Errorf("repl: records payload claims %d records in %d bytes", n, len(p))
+	}
 	recs := make([]wal.Record, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(p) < 8+1+4 {
-			return nil, fmt.Errorf("repl: truncated record %d", i)
+			return 0, nil, fmt.Errorf("repl: truncated record %d", i)
 		}
 		lsn := binary.BigEndian.Uint64(p)
 		kind := p[8]
 		plen := binary.BigEndian.Uint32(p[9:13])
 		p = p[13:]
 		if uint32(len(p)) < plen {
-			return nil, fmt.Errorf("repl: truncated record %d payload", i)
+			return 0, nil, fmt.Errorf("repl: truncated record %d payload", i)
 		}
 		recs = append(recs, wal.Record{LSN: lsn, Kind: kind, Payload: p[:plen:plen]})
 		p = p[plen:]
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("repl: %d trailing bytes after records", len(p))
+		return 0, nil, fmt.Errorf("repl: %d trailing bytes after records", len(p))
 	}
-	return recs, nil
+	return leaderLSN, recs, nil
 }
 
 // Heartbeat reports the leader's durable position on an idle stream.

@@ -145,7 +145,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{LSN: 3, Kind: 7, Payload: bytes.Repeat([]byte{0xAB}, 1000)},
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameRecords, encodeRecords(recs)); err != nil {
+	if err := writeFrame(&buf, frameRecords, encodeRecords(7, recs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(&buf, frameHeartbeat, encodeHeartbeat(Heartbeat{LastLSN: 42, UnixNano: 99})); err != nil {
@@ -159,9 +159,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || typ != frameRecords {
 		t.Fatalf("frame 1 = (%d, %v)", typ, err)
 	}
-	got, err := decodeRecords(p)
+	leaderLSN, got, err := decodeRecords(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if leaderLSN != 7 {
+		t.Fatalf("decoded leader LSN = %d, want 7", leaderLSN)
 	}
 	if len(got) != 3 || got[0].LSN != 1 || string(got[0].Payload) != "alpha" || got[2].LSN != 3 || len(got[2].Payload) != 1000 {
 		t.Fatalf("decoded records = %+v", got)
@@ -201,6 +204,74 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:4])); err == nil {
 		t.Fatal("torn header passed")
 	}
+}
+
+// TestRecordsPayloadTruncationIsAnError: every truncation of a records
+// payload — including a header too short to hold the leader LSN and
+// the record count — decodes to an error, never a panic, and a count
+// the payload cannot hold is refused before anything is allocated.
+func TestRecordsPayloadTruncationIsAnError(t *testing.T) {
+	p := encodeRecords(9, []wal.Record{{LSN: 1, Kind: 1, Payload: []byte("alpha")}, {LSN: 2, Kind: 1}})
+	for cut := 0; cut < len(p); cut++ {
+		if _, _, err := decodeRecords(p[:cut]); err == nil {
+			t.Fatalf("payload cut to %d of %d bytes decoded without error", cut, len(p))
+		}
+	}
+	huge := encodeRecords(9, nil)
+	huge[8], huge[9], huge[10], huge[11] = 0xFF, 0xFF, 0xFF, 0xFF
+	if _, _, err := decodeRecords(huge); err == nil {
+		t.Fatal("a 2^32-1 record count in an empty payload decoded without error")
+	}
+}
+
+// gatedApplier holds every Apply until gate closes.
+type gatedApplier struct {
+	*memApplier
+	gate chan struct{}
+}
+
+func (a gatedApplier) Apply(recs []wal.Record) error {
+	<-a.gate
+	return a.memApplier.Apply(recs)
+}
+
+// TestLagReportedWhileApplyIsHeldBack: a follower whose Apply is held
+// back reports its lag while records stream. The leader's high-water
+// mark rides every records frame; heartbeats are disabled here, so
+// nothing else could carry it.
+func TestLagReportedWhileApplyIsHeldBack(t *testing.T) {
+	src := newWalSource(t)
+	for i := 1; i <= 5; i++ {
+		if _, err := src.l.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := fastServer(src)
+	srv.Heartbeat = time.Hour
+	a := gatedApplier{memApplier: &memApplier{}, gate: make(chan struct{})}
+	var release sync.Once
+	c := NewClient("f", LocalTransport{S: srv}, a)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = c.Run(ctx)
+	}()
+	defer func() {
+		release.Do(func() { close(a.gate) })
+		cancel()
+		<-done
+	}()
+
+	waitFor(t, "lag reported while apply is held back", func() bool {
+		st := c.Status()
+		return st.AppliedLSN == 0 && st.LeaderLSN == 5 && st.LagLSN == 5
+	})
+	release.Do(func() { close(a.gate) })
+	waitFor(t, "follower to catch up", func() bool {
+		st := c.Status()
+		return st.AppliedLSN == 5 && st.LagLSN == 0
+	})
 }
 
 // TestStreamDeliversAndFollowsAppends: a client over LocalTransport

@@ -356,7 +356,8 @@ func (s *Server) StreamTo(ctx context.Context, id string, from uint64, w io.Writ
 			t.MaxBytes = s.BatchBytes
 			tail = t
 		}
-		recs, err := tail.Next(s.BatchMax, s.src.LastLSN())
+		last := s.src.LastLSN()
+		recs, err := tail.Next(s.BatchMax, last)
 		if err != nil {
 			var gap *wal.GapError
 			if errors.As(err, &gap) {
@@ -375,7 +376,7 @@ func (s *Server) StreamTo(ctx context.Context, id string, from uint64, w io.Writ
 			return fmt.Errorf("repl: tailing after %d: %w", tail.Pos(), err)
 		}
 		if len(recs) > 0 {
-			if err := emit(frameRecords, encodeRecords(recs)); err != nil {
+			if err := emit(frameRecords, encodeRecords(last, recs)); err != nil {
 				return err
 			}
 			lastSent = time.Now()

@@ -28,6 +28,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -72,7 +73,7 @@ type Log struct {
 
 	// nextLSN and first are atomics so Bounds can be read concurrently
 	// with appends (the replication stream server polls it without the
-	// durable layer's statement lock). All writers still serialize
+	// durable layer's commit lock). All writers still serialize
 	// through the append/checkpoint paths; only the reads are lock-free.
 	nextLSN atomic.Uint64
 	first   atomic.Uint64 // LSN of the oldest retained record; 0 = none retained
@@ -99,12 +100,13 @@ type logObs struct {
 	fsyncs        *obs.Counter
 	segments      *obs.Gauge
 	segsDropped   *obs.Counter
+	appendErrors  *obs.Counter
 }
 
 // SetObs attaches a metrics registry to the log: append and fsync
 // latency histograms plus byte/record/segment counters. Pass nil to
 // detach. Not safe to call concurrently with Append; callers attach it
-// right after Open (the durable DB does so under its statement lock).
+// right after Open (the durable DB does so under its commit fence).
 func (l *Log) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		l.o = nil
@@ -125,6 +127,8 @@ func (l *Log) SetObs(reg *obs.Registry) {
 			"Commit-log segment files currently on disk (sealed + active).", nil),
 		segsDropped: reg.Counter("mview_wal_segments_dropped_total",
 			"Sealed commit-log segments deleted after being covered by a checkpoint.", nil),
+		appendErrors: reg.Counter("mview_wal_append_errors_total",
+			"Commit-log appends that failed (write, fsync, rotation, or a closed log); the statement was not acknowledged.", nil),
 	}
 	l.o.segments.Set(float64(len(l.sealed) + 1))
 }
@@ -359,80 +363,23 @@ func (l *Log) maybeRotate(n int64) error {
 	return l.Rotate()
 }
 
-// AppendHook, when non-nil, runs inside the single-record Append after
-// the write (stage "written") and after the fsync (stage "synced"). A
-// non-nil return is treated as the corresponding I/O failure, so Append
-// takes the same rollback path as a real short write: truncate back to
-// the pre-append offset and return the error. Never set in production
-// code; fault-injection tests use it to prove a failed append can never
-// shadow a later acknowledged one from recovery.
+// AppendHook, when non-nil, runs inside every append after the write
+// (stage "written") and after the fsync (stage "synced"). Returning
+// ErrSimulatedCrash (or an error wrapping it) aborts with the file left
+// exactly as written so far — the process died at that instant. Any
+// other error is treated as the corresponding I/O failure and takes the
+// rollback path of a real short write. Never set in production code;
+// fault-injection tests use it.
 var AppendHook func(stage string) error
 
-// Append logs one record and returns its LSN.
-//
-// On a write or sync failure the log truncates itself back to the
-// pre-append offset, so the torn bytes cannot sit in front of a later
-// successful append and silently shadow it from recovery; if the
-// truncate also fails the error reports the log as broken.
-func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
-	return l.append(kind, payload, l.Sync)
-}
+// ErrSimulatedCrash marks a fault-injection abort (see AppendHook).
+var ErrSimulatedCrash = errors.New("wal: simulated crash")
 
-func (l *Log) append(kind uint8, payload []byte, sync bool) (uint64, error) {
-	if l.f == nil {
-		return 0, fmt.Errorf("wal: log closed or broken")
+func appendHook(stage string) error {
+	if AppendHook == nil {
+		return nil
 	}
-	if len(payload) > MaxPayload {
-		return 0, fmt.Errorf("wal: payload of %d bytes exceeds limit", len(payload))
-	}
-	var t0 time.Time
-	if l.o != nil {
-		t0 = time.Now()
-	}
-	lsn := l.nextLSN.Load()
-	buf := frame(make([]byte, 0, headerLen+len(payload)+crcLen), lsn, kind, payload)
-	if err := l.maybeRotate(int64(len(buf))); err != nil {
-		return 0, err
-	}
-	pre := l.size
-	abort := func(err error) (uint64, error) {
-		if terr := l.f.Truncate(pre); terr != nil {
-			return 0, fmt.Errorf("wal: append failed (%w) and truncating the torn record failed (%v): log broken", err, terr)
-		}
-		if _, serr := l.f.Seek(pre, io.SeekStart); serr != nil {
-			return 0, fmt.Errorf("wal: append failed (%w) and reseeking failed (%v): log broken", err, serr)
-		}
-		return 0, err
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		return abort(err)
-	}
-	if AppendHook != nil {
-		if err := AppendHook("written"); err != nil {
-			return abort(err)
-		}
-	}
-	if sync {
-		if err := l.syncTimed(); err != nil {
-			return abort(err)
-		}
-		if AppendHook != nil {
-			if err := AppendHook("synced"); err != nil {
-				return abort(err)
-			}
-		}
-	}
-	if l.first.Load() == 0 {
-		l.first.Store(lsn)
-	}
-	l.nextLSN.Store(lsn + 1)
-	l.size = pre + int64(len(buf))
-	if l.o != nil {
-		l.o.appendSeconds.ObserveDuration(time.Since(t0))
-		l.o.bytesWritten.Add(int64(len(buf)))
-		l.o.appends.Inc()
-	}
-	return lsn, nil
+	return AppendHook(stage)
 }
 
 // Entry is one record to be appended by AppendBatch.
@@ -441,14 +388,11 @@ type Entry struct {
 	Payload []byte
 }
 
-// AppendBatchHook, when non-nil, runs inside AppendBatch between the
-// batch write and the fsync (stage "written") and again after the
-// fsync (stage "synced") — checkpointHook-style fault injection so
-// crash tests can kill the process mid-group. A hook error aborts the
-// batch exactly as written so far: no cleanup truncation runs, the
-// file is left as the simulated crash would leave it. Never set in
-// production code.
-var AppendBatchHook func(stage string) error
+// Append logs one record and returns its LSN: an AppendBatch of one,
+// framed byte-for-byte like any batch member.
+func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
+	return l.AppendBatch([]Entry{{Kind: kind, Payload: payload}})
+}
 
 // AppendBatch logs all entries as consecutive records with a single
 // write and — when Sync is on — a single fsync, returning the LSN of
@@ -462,8 +406,20 @@ var AppendBatchHook func(stage string) error
 // On a write or sync failure the log truncates itself back to its
 // pre-batch length, so a later append cannot land after a torn batch
 // and silently shadow it from recovery; if the truncate also fails the
-// error reports the log as broken.
+// error reports the log as broken. Every failed append is counted in
+// mview_wal_append_errors_total.
 func (l *Log) AppendBatch(entries []Entry) (uint64, error) {
+	return l.appendBatch(entries, l.Sync)
+}
+
+func (l *Log) appendBatch(entries []Entry, sync bool) (first uint64, err error) {
+	if l.o != nil {
+		defer func() {
+			if err != nil {
+				l.o.appendErrors.Inc()
+			}
+		}()
+	}
 	if l.f == nil {
 		return 0, fmt.Errorf("wal: log closed or broken")
 	}
@@ -485,36 +441,35 @@ func (l *Log) AppendBatch(entries []Entry) (uint64, error) {
 		return 0, err
 	}
 	pre := l.size
-	first := l.nextLSN.Load()
+	first = l.nextLSN.Load()
 	buf := make([]byte, 0, size)
 	for i, e := range entries {
 		buf = frame(buf, first+uint64(i), e.Kind, e.Payload)
 	}
 	abort := func(err error) (uint64, error) {
+		if errors.Is(err, ErrSimulatedCrash) {
+			return 0, err // the process died here: leave the file as it lies
+		}
 		if terr := l.f.Truncate(pre); terr != nil {
-			return 0, fmt.Errorf("wal: batch append failed (%w) and truncating the torn batch failed (%v): log broken", err, terr)
+			return 0, fmt.Errorf("wal: append failed (%w) and truncating the torn records failed (%v): log broken", err, terr)
 		}
 		if _, serr := l.f.Seek(pre, io.SeekStart); serr != nil {
-			return 0, fmt.Errorf("wal: batch append failed (%w) and reseeking failed (%v): log broken", err, serr)
+			return 0, fmt.Errorf("wal: append failed (%w) and reseeking failed (%v): log broken", err, serr)
 		}
 		return 0, err
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		return abort(err)
 	}
-	if AppendBatchHook != nil {
-		if err := AppendBatchHook("written"); err != nil {
-			return 0, err // simulated crash: leave the file as it lies
-		}
+	if err := appendHook("written"); err != nil {
+		return abort(err)
 	}
-	if l.Sync {
+	if sync {
 		if err := l.syncTimed(); err != nil {
 			return abort(err)
 		}
-		if AppendBatchHook != nil {
-			if err := AppendBatchHook("synced"); err != nil {
-				return 0, err
-			}
+		if err := appendHook("synced"); err != nil {
+			return abort(err)
 		}
 	}
 	if l.first.Load() == 0 {
@@ -642,7 +597,7 @@ func (l *Log) Truncate() error {
 	if _, err := l.DropThrough(l.nextLSN.Load() - 1); err != nil {
 		return err
 	}
-	_, err := l.append(KindNoop, nil, true)
+	_, err := l.appendBatch([]Entry{{Kind: KindNoop}}, true)
 	return err
 }
 

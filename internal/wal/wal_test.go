@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mview/internal/obs"
 )
 
 func tempLog(t *testing.T) string {
@@ -399,24 +402,24 @@ func TestAppendBatchTornAtEveryOffset(t *testing.T) {
 }
 
 // TestAppendBatchHookSimulatedCrash pins the fault-injection contract:
-// a hook error at "written" aborts with the batch bytes still in the
-// file (the process died there) and without advancing the LSN.
+// an ErrSimulatedCrash from the hook at "written" aborts with the batch
+// bytes still in the file (the process died there) and without
+// advancing the LSN.
 func TestAppendBatchHookSimulatedCrash(t *testing.T) {
 	path := tempLog(t)
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := os.ErrClosed
-	AppendBatchHook = func(stage string) error {
+	AppendHook = func(stage string) error {
 		if stage == "written" {
-			return boom
+			return ErrSimulatedCrash
 		}
 		return nil
 	}
-	defer func() { AppendBatchHook = nil }()
-	if _, err := l.AppendBatch([]Entry{{Kind: 1, Payload: []byte("doomed")}}); err != boom {
-		t.Fatalf("AppendBatch error = %v, want injected %v", err, boom)
+	defer func() { AppendHook = nil }()
+	if _, err := l.AppendBatch([]Entry{{Kind: 1, Payload: []byte("doomed")}}); err != ErrSimulatedCrash {
+		t.Fatalf("AppendBatch error = %v, want injected %v", err, ErrSimulatedCrash)
 	}
 	if l.LastLSN() != 0 {
 		t.Errorf("simulated crash advanced LSN to %d", l.LastLSN())
@@ -427,5 +430,49 @@ func TestAppendBatchHookSimulatedCrash(t *testing.T) {
 	// which is fine: it was fully written, never torn.
 	if recs := collect(t, path, 0); len(recs) > 1 {
 		t.Errorf("recovered %d records from a 1-record torn batch", len(recs))
+	}
+}
+
+// TestAppendErrorsCounted: every failed append — an injected I/O error
+// at either stage, a simulated crash, an oversized payload, a closed
+// log — advances mview_wal_append_errors_total, and successful appends
+// do not.
+func TestAppendErrorsCounted(t *testing.T) {
+	l, err := Open(tempLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l.SetObs(reg)
+	errs := reg.Counter("mview_wal_append_errors_total", "", nil)
+	if _, err := l.Append(1, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected io failure")
+	for _, fail := range []struct {
+		stage string
+		err   error
+	}{{"written", boom}, {"synced", boom}, {"written", ErrSimulatedCrash}} {
+		AppendHook = func(s string) error {
+			if s == fail.stage {
+				return fail.err
+			}
+			return nil
+		}
+		_, err := l.AppendBatch([]Entry{{Kind: 1, Payload: []byte("doomed")}, {Kind: 1}})
+		AppendHook = nil
+		if !errors.Is(err, fail.err) {
+			t.Fatalf("%s: AppendBatch error = %v, want %v", fail.stage, err, fail.err)
+		}
+	}
+	if _, err := l.Append(1, make([]byte, MaxPayload+1)); err == nil {
+		t.Fatal("oversized payload accepted")
+	}
+	_ = l.Close()
+	if _, err := l.Append(1, []byte("late")); err == nil {
+		t.Fatal("append on a closed log succeeded")
+	}
+	if got := errs.Value(); got != 5 {
+		t.Fatalf("mview_wal_append_errors_total = %d, want 5", got)
 	}
 }

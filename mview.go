@@ -33,18 +33,16 @@ type DB struct {
 	// re-sync swaps in a freshly bootstrapped engine (follower.go).
 	// Leader databases store it once at open and never again.
 	eng atomic.Pointer[db.Engine]
-	// Durable state; nil/zero for in-memory databases.
+	// Durable state; nil/zero for in-memory databases. wal is set once at
+	// open and handed to the engine as its log sink: every durable
+	// statement appends its record under the engine's commit lock before
+	// it becomes visible, and everything else that touches the log
+	// (Checkpoint, replication bootstrap, SetLogSync, Instrument, Close)
+	// fences on that same lock (db.Engine.Fence).
 	wal *wal.Log
 	dir string
-	mu  sync.Mutex // serializes logged statements so log order = apply order
-	// gmu fences group commit against structural change: every grouped
-	// Exec holds it shared for the duration of its submit, while DDL,
-	// Checkpoint, Close, and the Enable/DisableGroupCommit toggles hold
-	// it exclusively. That keeps log order equal to apply order across
-	// the two logging disciplines (groups log-before-visible inside the
-	// engine; statements here apply-then-log) and guarantees the
-	// scheduler never stops with a durable transaction in flight.
-	gmu sync.RWMutex
+	// closed is set by Close; guarded by the engine fence.
+	closed bool
 	// ckptMu serializes whole checkpoints (the background ticker, an
 	// operator-triggered Checkpoint, and the open-time migration may
 	// otherwise interleave); the commit fence is only held for the
@@ -52,7 +50,7 @@ type DB struct {
 	ckptMu sync.Mutex
 	// man is the checkpoint manifest currently on disk (nil before the
 	// first checkpoint); ckptStats describes the last completed one.
-	// Both are guarded by mu.
+	// Both are guarded by ckptMu.
 	man       *manifest
 	ckptStats CheckpointStats
 	// Replication (repl.go): replSrv is the lazily-created leader-side
@@ -88,13 +86,14 @@ type DB struct {
 //
 // Deprecated: pass WithObs to Open or OpenDurable instead.
 func (d *DB) Instrument(reg *obs.Registry, tr obs.Tracer) {
-	defer d.lockIfDurable()()
-	d.reg = reg
-	d.tracer = tr
 	d.engine().SetObs(reg, tr)
-	if d.wal != nil {
-		d.wal.SetObs(reg)
-	}
+	d.engine().Fence(func() {
+		d.reg = reg
+		d.tracer = tr
+		if d.wal != nil {
+			d.wal.SetObs(reg)
+		}
+	})
 	if reg != nil && d.dir != "" {
 		reg.Gauge("mview_wal_replay_seconds",
 			"Commit-log replay duration at the last open.", nil).Set(d.replayDur.Seconds())
@@ -139,11 +138,21 @@ func (d *DB) CreateRelation(name string, attrs ...string) error {
 	if d.readonly {
 		return ErrReadOnlyReplica
 	}
-	defer d.lockIfDurable()()
-	if err := d.engine().CreateRelation(name, toAttrs(attrs)...); err != nil {
+	payload, err := d.stmtPayload(walStmt{Kind: "relation", Name: name, Attrs: attrs})
+	if err != nil {
 		return err
 	}
-	return d.logStmt(walStmt{Kind: "relation", Name: name, Attrs: attrs})
+	return d.engine().CreateRelationLogged(payload, name, toAttrs(attrs)...)
+}
+
+// stmtPayload encodes a statement as its commit-log record, which the
+// engine appends before the statement becomes visible. In-memory
+// databases and followers have no log: nil.
+func (d *DB) stmtPayload(st walStmt) ([]byte, error) {
+	if d.wal == nil {
+		return nil, nil
+	}
+	return encodeStmt(st)
 }
 
 func toAttrs(attrs []string) []schema.Attribute {
@@ -152,29 +161,6 @@ func toAttrs(attrs []string) []schema.Attribute {
 		as[i] = schema.Attribute(a)
 	}
 	return as
-}
-
-// lockIfDurable takes the statement-ordering lock when a commit log is
-// attached, returning the matching unlock (a no-op otherwise). The
-// caller must invoke the result with defer-like discipline; because
-// the lock only matters for durable databases, plain calls at function
-// entry followed by the returned closure via defer keep in-memory
-// paths free of contention.
-func (d *DB) lockIfDurable() func() {
-	if d.wal == nil {
-		// In-memory databases still fence structural statements against
-		// in-flight grouped transactions; the engine lock alone orders
-		// them, but draining the group first keeps DDL from interleaving
-		// with a batch mid-pipeline.
-		d.gmu.Lock()
-		return d.gmu.Unlock
-	}
-	d.gmu.Lock()
-	d.mu.Lock()
-	return func() {
-		d.mu.Unlock()
-		d.gmu.Unlock()
-	}
 }
 
 // ViewSpec describes an SPJ view: V = π_Select(σ_Where(From₁ × … ×
@@ -309,15 +295,15 @@ func (d *DB) CreateView(name string, spec ViewSpec, opts ...ViewOption) error {
 	if err := checkOptions(opts); err != nil {
 		return err
 	}
-	defer d.lockIfDurable()()
 	v, err := spec.build(name)
 	if err != nil {
 		return err
 	}
-	if err := d.engine().CreateView(v, buildConfig(opts)); err != nil {
+	payload, err := d.stmtPayload(walStmt{Kind: "view", Name: name, Spec: spec, Options: optionNames(opts)})
+	if err != nil {
 		return err
 	}
-	return d.logStmt(walStmt{Kind: "view", Name: name, Spec: spec, Options: optionNames(opts)})
+	return d.engine().CreateViewLogged(payload, v, buildConfig(opts))
 }
 
 // withDefaultPolicy materializes the database's WithDefaultPolicy into
@@ -369,19 +355,19 @@ func (d *DB) CreateJoinView(name string, rels []string, opts ...ViewOption) erro
 	if err := checkOptions(opts); err != nil {
 		return err
 	}
-	defer d.lockIfDurable()()
-	if err := d.createJoinViewCore(name, rels, opts); err != nil {
+	payload, err := d.stmtPayload(walStmt{Kind: "joinview", Name: name, Rels: rels, Options: optionNames(opts)})
+	if err != nil {
 		return err
 	}
-	return d.logStmt(walStmt{Kind: "joinview", Name: name, Rels: rels, Options: optionNames(opts)})
+	return d.createJoinViewCore(payload, name, rels, opts)
 }
 
-func (d *DB) createJoinViewCore(name string, rels []string, opts []ViewOption) error {
+func (d *DB) createJoinViewCore(payload []byte, name string, rels []string, opts []ViewOption) error {
 	v, err := expr.NaturalJoin(name, d.engine().Scheme(), rels...)
 	if err != nil {
 		return err
 	}
-	return d.engine().CreateView(v, buildConfig(opts))
+	return d.engine().CreateViewLogged(payload, v, buildConfig(opts))
 }
 
 // DropView removes a view.
@@ -389,11 +375,11 @@ func (d *DB) DropView(name string) error {
 	if d.readonly {
 		return ErrReadOnlyReplica
 	}
-	defer d.lockIfDurable()()
-	if err := d.engine().DropView(name); err != nil {
+	payload, err := d.stmtPayload(walStmt{Kind: "dropview", Name: name})
+	if err != nil {
 		return err
 	}
-	return d.logStmt(walStmt{Kind: "dropview", Name: name})
+	return d.engine().DropViewLogged(payload, name)
 }
 
 // Op is one operation inside a transaction.
@@ -443,6 +429,12 @@ func (d *DB) Exec(ops ...Op) (TxInfo, error) {
 // its queued wait instead of holding a group slot. A transaction whose
 // group leader has already claimed it runs to its verdict; a commit is
 // never torn back out of a batch.
+//
+// On a durable database the statement is encoded up front and the
+// engine logs it (with its whole group under one fsync when group
+// commit is on) before the transaction becomes visible, so a logging
+// failure aborts the transaction: nothing is published, no subscriber
+// fires, and no follower ever sees it.
 func (d *DB) ExecContext(ctx context.Context, ops ...Op) (TxInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return TxInfo{}, err
@@ -450,34 +442,6 @@ func (d *DB) ExecContext(ctx context.Context, ops ...Op) (TxInfo, error) {
 	if d.readonly {
 		return TxInfo{}, ErrReadOnlyReplica
 	}
-	d.gmu.RLock()
-	if d.engine().GroupCommitEnabled() {
-		defer d.gmu.RUnlock()
-		return d.execGrouped(ctx, ops)
-	}
-	d.gmu.RUnlock()
-	defer d.lockIfDurable()()
-	if err := ctx.Err(); err != nil {
-		return TxInfo{}, err
-	}
-	info, err := d.execCore(ops)
-	if err != nil {
-		return TxInfo{}, err
-	}
-	if d.wal != nil {
-		if err := d.logStmt(walStmt{Kind: "tx", Ops: opsToWal(ops)}); err != nil {
-			return TxInfo{}, err
-		}
-	}
-	return info, nil
-}
-
-// execGrouped rides the group-commit path: the statement is encoded up
-// front, and the engine's leader logs it (one batched fsync for the
-// whole group) before the transaction becomes visible, so — unlike the
-// serial apply-then-log path above — a logging failure aborts the
-// transaction instead of surfacing after the fact.
-func (d *DB) execGrouped(ctx context.Context, ops []Op) (TxInfo, error) {
 	var payload []byte
 	if d.wal != nil {
 		p, err := encodeStmt(walStmt{Kind: "tx", Ops: opsToWal(ops)})
@@ -502,51 +466,9 @@ func opsToWal(ops []Op) []walOp {
 	return wops
 }
 
-// EnableGroupCommit coalesces concurrent Exec calls into commit
-// groups: one batched log append (a single fsync covers every member),
-// one composed maintenance pass over the group's net delta, and one
-// snapshot publish. maxBatch caps the group size (<= 0 selects the
-// default); window is how long the leader waits for followers once
-// there is evidence of concurrency (0 disables the wait — groups form
-// only from what has already queued). Transactions keep their
-// individual atomicity: a member that fails validation is excluded and
-// retried alone without poisoning the rest of its group.
-//
-// Deprecated: pass WithGroupCommit to Open or OpenDurable instead.
-func (d *DB) EnableGroupCommit(maxBatch int, window time.Duration) {
-	if d.readonly {
-		return // followers apply wire batches; no local scheduler
-	}
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	var logBatch func([][]byte) error
-	if d.wal != nil {
-		logBatch = d.logPayloadBatch
-	}
-	d.engine().EnableGroupCommit(maxBatch, window, logBatch)
-}
-
-// DisableGroupCommit drains any queued transactions and restores the
-// serial commit path. It blocks until in-flight grouped Exec calls
-// have completed.
-func (d *DB) DisableGroupCommit() {
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	d.engine().DisableGroupCommit()
-}
-
-// GroupCommitEnabled reports whether Exec currently rides the
-// group-commit scheduler.
+// GroupCommitEnabled reports whether Exec rides the group-commit
+// scheduler (WithGroupCommit).
 func (d *DB) GroupCommitEnabled() bool { return d.engine().GroupCommitEnabled() }
-
-func (d *DB) execCore(ops []Op) (TxInfo, error) {
-	tx := buildTx(ops)
-	res, err := d.engine().Execute(&tx)
-	if err != nil {
-		return TxInfo{}, err
-	}
-	return txInfoFrom(res), nil
-}
 
 func buildTx(ops []Op) delta.Tx {
 	var tx delta.Tx

@@ -4,10 +4,11 @@ package mview
 //
 // Open, OpenDurable, and Load accept functional options so every
 // engine-level knob is set before the database serves its first
-// statement. The former mutator methods (SetMaintWorkers,
-// EnableGroupCommit, Instrument) remain as thin wrappers for
-// compatibility but are deprecated: options compose, replay correctly
-// on durable reopen, and cannot race with traffic.
+// statement. The former mutator methods (SetMaintWorkers, Instrument)
+// remain as thin wrappers for compatibility but are deprecated: options
+// compose, replay correctly on durable reopen, and cannot race with
+// traffic. Group commit has no mutator: WithGroupCommit is its only
+// switch.
 
 import (
 	"fmt"
@@ -59,8 +60,11 @@ func WithShards(n int) Option {
 // fsync, one composed maintenance pass, one snapshot publish.
 // maxBatch caps the group size (<= 0 selects the default); window is
 // how long the leader waits for followers once there is evidence of
-// concurrency. Equivalent to calling EnableGroupCommit after opening,
-// but applied before the database serves traffic.
+// concurrency (0 disables the wait — groups form only from what has
+// already queued). Transactions keep their individual atomicity: a
+// member that fails validation is excluded and retried alone without
+// poisoning the rest of its group. Solo and grouped commits log the
+// same way — before the transaction becomes visible.
 func WithGroupCommit(maxBatch int, window time.Duration) Option {
 	return func(c *config) {
 		c.groupCommit = true
@@ -141,7 +145,7 @@ func (d *DB) applyRuntime(c config) {
 		d.Instrument(c.reg, c.tracer)
 	}
 	if c.groupCommit {
-		d.EnableGroupCommit(c.groupMax, c.groupWindow)
+		d.engine().EnableGroupCommit(c.groupMax, c.groupWindow)
 	}
 }
 

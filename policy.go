@@ -171,11 +171,11 @@ func (d *DB) SetPolicy(view string, p ViewOption) error {
 	if p.when == nil {
 		return fmt.Errorf("mview: option %q is not a refresh policy (want oncommit, ondemand, every=<dur>, maxstale=<dur>, or autopolicy)", p.name)
 	}
-	defer d.lockIfDurable()()
-	if err := d.engine().SetViewPolicy(view, *p.when); err != nil {
+	payload, err := d.stmtPayload(walStmt{Kind: "policy", Name: view, Options: []string{p.name}})
+	if err != nil {
 		return err
 	}
-	return d.logStmt(walStmt{Kind: "policy", Name: view, Options: []string{p.name}})
+	return d.engine().SetViewPolicyLogged(payload, view, *p.when)
 }
 
 // PolicyInfo describes a view's refresh policy and freshness state.

@@ -35,24 +35,19 @@ func (d *DB) ReplicationServer() (*repl.Server, error) {
 	d.replMu.Lock()
 	defer d.replMu.Unlock()
 	if d.replSrv == nil {
-		d.replSrv = repl.NewServer(replSource{d: d, w: d.wal})
+		d.replSrv = repl.NewServer(replSource{d: d})
 		d.replSrv.SetObs(d.reg)
 	}
 	return d.replSrv, nil
 }
 
-// replSource adapts a durable leader database to repl.Source. It
-// captures the log pointer at creation so stream goroutines never race
-// Close nilling d.wal: the position accessors are atomic and stay safe
-// on a closed log (streams on a closing database drain and exit on
-// their own terms).
-type replSource struct {
-	d *DB
-	w *wal.Log
-}
+// replSource adapts a durable leader database to repl.Source. The log
+// position accessors are atomic and stay safe on a closed log (streams
+// on a closing database drain and exit on their own terms).
+type replSource struct{ d *DB }
 
-func (s replSource) Bounds() (uint64, uint64) { return s.w.Bounds() }
-func (s replSource) LastLSN() uint64          { return s.w.LastLSN() }
+func (s replSource) Bounds() (uint64, uint64) { return s.d.wal.Bounds() }
+func (s replSource) LastLSN() uint64          { return s.d.wal.LastLSN() }
 
 func (s replSource) OpenTail(from uint64) (*wal.Tail, error) {
 	return wal.OpenTail(filepath.Join(s.d.dir, logFile), from)
@@ -65,17 +60,16 @@ func (s replSource) OpenTail(from uint64) (*wal.Tail, error) {
 // the image streams out.
 func (s replSource) WriteSnapshot(w io.Writer) (uint64, error) {
 	d := s.d
-	d.gmu.Lock()
-	d.mu.Lock()
-	if d.wal == nil {
-		d.mu.Unlock()
-		d.gmu.Unlock()
+	var snap *db.Snapshot
+	var lsn uint64
+	d.engine().Fence(func() {
+		if !d.closed {
+			snap, lsn = d.engine().CurrentSnapshot(), d.wal.LastLSN()
+		}
+	})
+	if snap == nil {
 		return 0, fmt.Errorf("mview: snapshot on a closed database")
 	}
-	snap := d.engine().CurrentSnapshot()
-	lsn := d.wal.LastLSN()
-	d.mu.Unlock()
-	d.gmu.Unlock()
 	return lsn, writeReplSnapshot(w, snap, lsn)
 }
 
